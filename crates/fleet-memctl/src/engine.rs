@@ -267,8 +267,6 @@ pub(crate) struct EvalParams {
     pub(crate) in_token_bytes: usize,
     pub(crate) out_token_bytes: usize,
     pub(crate) output_buffer_bytes: usize,
-    /// SIMD lane width for batched PU evaluation (1 disables batching).
-    pub(crate) lane_width: usize,
 }
 
 /// The compact record of one unit's evaluation for one cycle: everything
@@ -354,20 +352,17 @@ pub(crate) fn pins_of(st: &PuState, params: &EvalParams) -> PuIn {
 /// touching only `unit` itself and reading `st` immutably. Returns the
 /// effect record for the serial merge.
 ///
-/// `reference` selects the seed-faithful reference program (the naive
-/// tick) and disables sleeping; the fast paths pass `false`.
+/// `may_sleep` lets a finished or quiescent unit park itself; the
+/// naive tick passes `false` and keeps every unit on the per-cycle
+/// path.
 #[inline]
 pub(crate) fn eval_unit<U: StreamUnit>(
     p: usize,
     unit: &mut U,
     st: &PuState,
     params: &EvalParams,
-    reference: bool,
+    may_sleep: bool,
 ) -> PuEffect {
-    // The fast paths run units on their optimized evaluation path; the
-    // naive tick keeps the seed-faithful reference path so throughput
-    // comparisons are honest. Both are cycle-exact.
-    unit.set_reference_eval(reference);
     let pins = pins_of(st, params);
     let out = unit.comb(&pins);
     // Exactly one class per PU per cycle (conservation):
@@ -385,7 +380,7 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     let emitted = out.output_valid && pins.output_ready;
     let finished = out.output_finished;
     unit.clock(&pins);
-    let sleep = if reference {
+    let sleep = if !may_sleep {
         None
     } else if finished {
         // The naive engine never ticks finished units either; park it
@@ -417,6 +412,12 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     }
 }
 
+/// Lanes per SIMD-batched PU evaluation: each engine cycle, up to this
+/// many same-program units awaiting a virtual-cycle evaluation sweep
+/// through one [`PuExecBatch`]. The walk's firing-lane bitmask is one
+/// `u64`, so 64 is also the largest width a batch supports.
+pub const LANE_WIDTH: usize = 64;
+
 /// Lane-batched pre-evaluation: sweeps groups of active units that run
 /// the *same* packed program through one SIMD instruction walk
 /// ([`PuExecBatch`]), installing each unit's virtual-cycle result so
@@ -437,14 +438,10 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
     units: &mut [U],
     base: usize,
     active: &[usize],
-    width: usize,
     batch: &mut Option<PuExecBatch>,
     group: &mut Vec<usize>,
 ) {
-    // The walk's firing-lane bitmask caps a group at 64 lanes
-    // ([`PuExecBatch::for_unit`] clamps identically).
-    let width = width.min(64);
-    if width <= 1 || active.len() < 2 {
+    if active.len() < 2 {
         return;
     }
     group.clear();
@@ -455,10 +452,9 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
         }
         if group.is_empty() {
             // First pending unit anchors the group; reuse the existing
-            // batch when it already targets this program at this width.
-            let fits = batch.as_ref().is_some_and(|b| b.matches(x) && b.width() == width);
-            if !fits {
-                *batch = Some(PuExecBatch::for_unit(x, width));
+            // batch when it already targets this program.
+            if !batch.as_ref().is_some_and(|b| b.matches(x)) {
+                *batch = Some(PuExecBatch::for_unit(x, LANE_WIDTH));
             }
             group.push(p);
         } else if batch.as_ref().expect("anchored above").matches(x) {
@@ -466,7 +462,7 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
         }
     }
     let Some(b) = batch.as_mut() else { return };
-    for chunk in group.chunks(width) {
+    for chunk in group.chunks(LANE_WIDTH) {
         if chunk.len() < 2 {
             continue; // a lone lane gains nothing over the scalar path
         }
@@ -775,7 +771,6 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                     in_token_bytes,
                     out_token_bytes,
                     output_buffer_bytes: cfg.output_buffer_bytes,
-                    lane_width: cfg.lane_width,
                 },
                 n_pus,
                 out_ready_units: 0,
@@ -1101,7 +1096,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         // awaiting a virtual-cycle evaluation through one SIMD
         // instruction walk, so the per-unit loop below finds their
         // evaluations cached. ---
-        lane_preeval(units, 0, active, ctl.cfg.lane_width, batch, lane_group);
+        lane_preeval(units, 0, active, batch, lane_group);
         // --- Processing units (active worklist, index order): evaluate
         // and merge fused per unit. ---
         active.retain(|&p| {
@@ -1110,7 +1105,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 pus[p].sleep = Some((ctl.stats.cycles, CycleClass::Drained));
                 false
             } else {
-                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, false);
+                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, true);
                 ctl.apply_effect(&eff, pus)
             }
         });
@@ -1129,7 +1124,8 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         }
     }
 
-    /// Reference tick: evaluates **every** unit every cycle with the
+    /// Reference tick: evaluates **every** unit every cycle, one unit
+    /// at a time (no sleeping, no lane batching), with the
     /// pre-optimization per-byte controller loops — the engine as it
     /// was before quiescence skipping. Kept so the equivalence tests
     /// and the `simperf --compare-naive` benchmark can hold the fast
@@ -1154,9 +1150,9 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 }
                 continue;
             }
-            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, true);
+            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, false);
             let keep = ctl.apply_effect(&eff, pus);
-            debug_assert!(keep, "reference evaluation never parks a unit");
+            debug_assert!(keep, "the naive tick never parks a unit");
         }
 
         let mut direct = Some(units.as_mut_slice());

@@ -29,7 +29,7 @@ pub mod unit;
 pub use config::{Addressing, MemCtlConfig};
 pub use engine::{
     dram_counters, ChannelEngine, EngineRunError, EngineStats, MisalignedClose, OpenStep,
-    StreamAssignment,
+    StreamAssignment, LANE_WIDTH,
 };
 pub use pool::{SimPool, SimThreads};
 pub use unit::StreamUnit;

@@ -90,7 +90,7 @@ fn run_shard<U: StreamUnit>(
     // Lane-batched pre-evaluation over this shard's slice (woken units
     // never have an evaluation pending — they were asleep last cycle —
     // so the owed skip spans applied below cannot interact with it).
-    lane_preeval(units, base, active, params.lane_width, batch, group);
+    lane_preeval(units, base, active, batch, group);
     let mut wi = 0usize;
     active.retain(|&p| {
         let unit = &mut units[p - base];
@@ -98,7 +98,7 @@ fn run_shard<U: StreamUnit>(
             unit.skip_cycles(wakes[wi].1);
             wi += 1;
         }
-        let eff = eval_unit(p, unit, &pus[p], params, false);
+        let eff = eval_unit(p, unit, &pus[p], params, true);
         let keep = eff.sleep.is_none();
         // Skip inert records (nothing for the merge to do) unless a
         // sink is attached — probes need every class, every cycle.

@@ -35,15 +35,6 @@ pub trait StreamUnit {
     fn skip_cycles(&mut self, n: u64) {
         let _ = n;
     }
-    /// Selects the unit's evaluation cost profile when it has more than
-    /// one cycle-exact implementation: `true` asks for the seed-faithful
-    /// reference path, `false` for the optimized one. The naive engine
-    /// tick requests the reference path so speedup measurements compare
-    /// real cost profiles; implementations with a single path (like
-    /// [`NetDriver`]) ignore this.
-    fn set_reference_eval(&mut self, reference: bool) {
-        let _ = reference;
-    }
     /// The unit's [`PuExec`] core, when it has one — lets the engine
     /// batch several replicas of the same program into one SIMD
     /// instruction sweep (see `PuExecBatch`). Implementations without a
@@ -75,9 +66,6 @@ impl StreamUnit for PuExec {
     }
     fn skip_cycles(&mut self, n: u64) {
         PuExec::skip_cycles(self, n)
-    }
-    fn set_reference_eval(&mut self, reference: bool) {
-        PuExec::set_reference_eval(self, reference)
     }
     fn lane_exec(&self) -> Option<&PuExec> {
         Some(self)

@@ -7,9 +7,9 @@
 //! * the fast cycle-exact executor (`PuExec`),
 //! * full RTL netlist simulation of the compiled design.
 //!
-//! One app additionally runs the netlist and executor in lockstep under
-//! randomized input starvation and output stalls, comparing every output
-//! pin every cycle.
+//! Every app additionally runs the netlist and executor in lockstep
+//! under randomized input starvation and output stalls, comparing every
+//! output pin every cycle.
 
 use fleet_apps::{App, AppKind};
 use fleet_compiler::{compile, NetDriver, PuExec, PuIn};
@@ -83,9 +83,11 @@ fn all_apps_agree_across_execution_paths() {
 
 #[test]
 fn lockstep_with_random_stalls_matches_pin_for_pin() {
-    // Integer coding exercises while-loop emission under stall pressure;
-    // Bloom exercises BRAM read/write loops.
-    for kind in [AppKind::IntCode, AppKind::Bloom] {
+    // The packed evaluator against the RTL netlist on every app, so the
+    // optimizer has an oracle independent of the engine. Integer coding
+    // exercises while-loop emission under stall pressure; Bloom
+    // exercises BRAM read/write loops.
+    for kind in AppKind::all() {
         let app = App::new(kind);
         let spec = app.spec();
         let stream = match kind {

@@ -3,8 +3,8 @@
 //! The quiescence-skipping [`ChannelEngine::tick`], the sharded pooled
 //! drive ([`ChannelEngine::run_channel`] with a worker pool), and the
 //! naive reference [`ChannelEngine::tick_naive`] (every unit evaluated
-//! every cycle through the seed-faithful reference program) must be
-//! indistinguishable in everything except wall-clock cost: same cycle
+//! every cycle on its own, with no sleeping and no lane batching) must
+//! be indistinguishable in everything except wall-clock cost: same cycle
 //! count, same output bytes, same aggregate stats, same per-PU cycle
 //! classification, same virtual-cycle counts, same trace-sink totals.
 //! `simperf`'s speedup claims rest on this equivalence, so it is
@@ -13,7 +13,7 @@
 
 use fleet_apps::{App, AppKind};
 use fleet_compiler::{CompiledUnit, PuExec};
-use fleet_memctl::{ChannelEngine, EngineRunError, EngineStats, SimPool, SimThreads};
+use fleet_memctl::{ChannelEngine, EngineRunError, EngineStats, SimPool, SimThreads, LANE_WIDTH};
 use fleet_system::{build_system_engines_traced, FaultPlan, SystemConfig};
 use fleet_trace::{CounterSink, PuCycleCounters};
 use proptest::prelude::*;
@@ -163,56 +163,46 @@ fn fast_tick_equals_naive_tick_many_units() {
     }
 }
 
-/// Lane widths the SIMD evaluation grid sweeps: the degenerate
-/// one-lane batch, partial groups, the group-splitting width, and a
-/// width wider than any test group ever fills.
-const LANE_WIDTHS: [usize; 4] = [1, 4, 8, 16];
-
-/// Pool sizes the lane grid sweeps (serial, split, oversubscribed).
+/// Pool sizes the lane-batching cases sweep (serial, split,
+/// oversubscribed).
 const LANE_THREADS: [usize; 3] = [1, 2, 8];
 
-/// One naive reference vs the lane-batched fast path across the full
-/// lane width × pool size grid. `lane_width` is a pure wall-clock
-/// knob: every cell of the grid must be observably identical to the
-/// naive drive, which never batches at all.
-fn assert_lane_grid_equivalence(kind: AppKind, seed: u64, pus: usize, approx_bytes: usize) {
-    let app = App::new(kind);
-    let streams: Vec<Vec<u8>> =
-        (0..pus).map(|p| app.gen_stream(seed ^ p as u64, approx_bytes)).collect();
-    let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-    let out_cap = app.out_capacity(streams.iter().map(|s| s.len()).max().unwrap());
-    let cfg = SystemConfig::f1(out_cap);
-    let unit = CompiledUnit::new(&app.spec());
-    let name = app.name();
+/// More same-program units on one channel than two lane batches hold
+/// (`LANE_WIDTH` = 64), so `lane_preeval` splits its group into
+/// several chunks: apps with multi-cycle loops keep well over 64 units
+/// awaiting evaluation at once.
+#[test]
+fn multi_chunk_lane_groups_equal_naive() {
+    const UNITS: usize = 150;
+    const { assert!(UNITS > 2 * LANE_WIDTH) };
+    for kind in AppKind::all() {
+        let app = App::new(kind);
+        let streams: Vec<Vec<u8>> = (0..UNITS)
+            .map(|p| app.gen_stream(0xC4A2C ^ p as u64, 256))
+            .collect();
+        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+        let out_cap = app.out_capacity(streams.iter().map(|s| s.len()).max().unwrap());
+        let mut cfg = SystemConfig::f1(out_cap);
+        cfg.platform.channels = 1;
+        let unit = CompiledUnit::new(&app.spec());
+        let name = app.name();
 
-    let (mut naive, _) = build_system_engines_traced(&unit, &refs, &cfg);
-    drive_naive(&mut naive);
-    let reference = observe(&mut naive);
+        let (mut naive, _) = build_system_engines_traced(&unit, &refs, &cfg);
+        assert_eq!(naive.len(), 1, "{name}: every unit shares one channel");
+        drive_naive(&mut naive);
+        let reference = observe(&mut naive);
 
-    for width in LANE_WIDTHS {
-        let mut wcfg = cfg;
-        wcfg.memctl.lane_width = width;
         for threads in LANE_THREADS {
             let pool = SimPool::new(SimThreads::Fixed(threads));
-            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
+            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
             drive_pooled(&mut engines, &pool);
             let got = observe(&mut engines);
             assert_obs_eq(
-                &format!("{name} @ lane width {width} x {threads} threads vs naive"),
+                &format!("{name} @ {UNITS} units x {threads} threads vs naive"),
                 &reference,
                 &got,
             );
         }
-    }
-}
-
-/// The full lane width × sim thread grid on all six apps: stats,
-/// outputs, virtual cycles, and per-PU counters all match the naive
-/// reference at every (width, threads) cell.
-#[test]
-fn lane_width_grid_equals_naive() {
-    for kind in AppKind::all() {
-        assert_lane_grid_equivalence(kind, 0xBA7C4ED, 6, 768);
     }
 }
 
@@ -247,23 +237,16 @@ proptest! {
             drive_naive(&mut naive);
             let reference = observe(&mut naive);
 
-            for width in [4usize, 8] {
-                let mut wcfg = cfg;
-                wcfg.memctl.lane_width = width;
-                for threads in [1usize, 2] {
-                    let pool = SimPool::new(SimThreads::Fixed(threads));
-                    let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
-                    drive_pooled(&mut engines, &pool);
-                    let got = observe(&mut engines);
-                    assert_obs_eq(
-                        &format!(
-                            "{} divergent lanes @ width {width} x {threads} threads",
-                            app.name()
-                        ),
-                        &reference,
-                        &got,
-                    );
-                }
+            for threads in [1usize, 2] {
+                let pool = SimPool::new(SimThreads::Fixed(threads));
+                let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
+                drive_pooled(&mut engines, &pool);
+                let got = observe(&mut engines);
+                assert_obs_eq(
+                    &format!("{} divergent lanes @ {threads} threads", app.name()),
+                    &reference,
+                    &got,
+                );
             }
         }
     }
@@ -274,9 +257,9 @@ proptest! {
 /// healthy units drain, so the event-driven clock skips in bulk
 /// through the dead window up to the watchdog boundary. The skipping
 /// drive must (a) still detect the wedge, (b) agree exactly — error,
-/// cycle count, partial outputs, counters — across every lane width
-/// and pool size, and (c) land on the same state the naive per-cycle
-/// drive reaches at the same cycle horizon.
+/// cycle count, partial outputs, counters — across every pool size,
+/// and (c) land on the same state the naive per-cycle drive reaches at
+/// the same cycle horizon.
 #[test]
 fn cycle_skip_respects_wedged_units() {
     let plan = FaultPlan::with_seed(5).wedges(400_000, 4);
@@ -298,7 +281,7 @@ fn cycle_skip_respects_wedged_units() {
         let unit = CompiledUnit::new(&app.spec());
         let name = app.name();
 
-        // Reference: the serial fast path at the default lane width.
+        // Reference: the serial fast path.
         let pool1 = SimPool::new(SimThreads::Fixed(1));
         let (mut fast, _) = build_system_engines_traced(&unit, &refs, &cfg);
         let ref_results: Vec<Result<u64, EngineRunError>> = fast
@@ -318,29 +301,25 @@ fn cycle_skip_respects_wedged_units() {
         let ref_cycles: Vec<u64> = fast.iter().map(|eng| eng.stats().cycles).collect();
         let reference = observe(&mut fast);
 
-        // Every (lane width, pool size) cell agrees with the serial
-        // reference bit for bit, error included.
-        for width in [1usize, 8, 16] {
-            let mut wcfg = cfg;
-            wcfg.memctl.lane_width = width;
-            for threads in LANE_THREADS {
-                let pool = SimPool::new(SimThreads::Fixed(threads));
-                let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
-                let results: Vec<Result<u64, EngineRunError>> = engines
-                    .iter_mut()
-                    .map(|eng| eng.run_channel(MAX_CYCLES, Some(&pool), threads))
-                    .collect();
-                assert_eq!(
-                    ref_results, results,
-                    "{name} @ lane width {width} x {threads} threads: run outcome diverges"
-                );
-                let got = observe(&mut engines);
-                assert_obs_eq(
-                    &format!("{name} wedged @ lane width {width} x {threads} threads"),
-                    &reference,
-                    &got,
-                );
-            }
+        // Every pool size agrees with the serial reference bit for
+        // bit, error included.
+        for threads in LANE_THREADS {
+            let pool = SimPool::new(SimThreads::Fixed(threads));
+            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
+            let results: Vec<Result<u64, EngineRunError>> = engines
+                .iter_mut()
+                .map(|eng| eng.run_channel(MAX_CYCLES, Some(&pool), threads))
+                .collect();
+            assert_eq!(
+                ref_results, results,
+                "{name} @ {threads} threads: run outcome diverges"
+            );
+            let got = observe(&mut engines);
+            assert_obs_eq(
+                &format!("{name} wedged @ {threads} threads"),
+                &reference,
+                &got,
+            );
         }
 
         // Naive horizon replay: tick the reference drive (no skipping,
